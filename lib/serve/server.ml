@@ -83,6 +83,10 @@ let port t = t.bound_port
 
 (* --- responses ------------------------------------------------------------- *)
 
+(* The primitive [Printf.sprintf "%.17g"] ends in, called without
+   interpreting a format string on every answer. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -98,14 +102,24 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-(* One answered query line.  The estimate prints as %.17g so a client
-   reading it back gets the bit-exact float the engine computed. *)
-let render_ok ~json buf ~estimate ~epoch ~dataset ~scheme =
+(* Everything an answer line carries after its estimate.  It is the same
+   for every query a dataset answers in one flush, so [serve_batch]
+   builds it once per dataset. *)
+let answer_tail ~json ~epoch ~dataset ~scheme =
   if json then
-    Buffer.add_string buf
-      (Printf.sprintf "{\"estimate\":%.17g,\"epoch\":%d,\"dataset\":\"%s\",\"scheme\":\"%s\"}\n"
-         estimate epoch (json_escape dataset) (json_escape scheme))
-  else Buffer.add_string buf (Printf.sprintf "%.17g\t%d\t%s\t%s\n" estimate epoch dataset scheme)
+    Printf.sprintf ",\"epoch\":%d,\"dataset\":\"%s\",\"scheme\":\"%s\"}\n" epoch
+      (json_escape dataset) (json_escape scheme)
+  else Printf.sprintf "\t%d\t%s\t%s\n" epoch dataset scheme
+
+(* The estimate prints as %.17g so a client reading it back gets the
+   bit-exact float the engine computed. *)
+let add_answer ~json buf estimate tail =
+  if json then Buffer.add_string buf "{\"estimate\":";
+  Buffer.add_string buf (format_float "%.17g" estimate);
+  Buffer.add_string buf tail
+
+let render_answer ~json buf estimate ~epoch ~dataset ~scheme =
+  add_answer ~json buf estimate (answer_tail ~json ~epoch ~dataset ~scheme)
 
 let render_error ~json buf msg =
   if json then Buffer.add_string buf (Printf.sprintf "{\"error\":\"%s\"}\n" (json_escape msg))
@@ -115,173 +129,256 @@ let busy_line json = if json then "{\"busy\":true}\n" else "busy\toverloaded, re
 
 (* --- batch evaluation ------------------------------------------------------ *)
 
-let default_name t =
-  match t.default_name with
-  | Some n -> Some n
-  | None -> Option.map Registry.name (Registry.default t.registry)
+(* One dataset's share of a flush: its bundle, pinned for the whole flush
+   (a concurrent reload lands between flushes, never inside one, and
+   every answer line carries the epoch it was served from), and the
+   occurrences routed to it, in input order. *)
+type group = {
+  bundle : Registry.bundle;
+  tail : string;
+  mutable members : (int * Tl_twig.Twig.t) list;
+}
 
-(* Same routing rule as the stdin loop: a 'NAME:' prefix that names a
-   registered dataset routes there; everything else — including prefixes
-   that name nothing — is a bare query for the default dataset. *)
-let route t line =
-  match String.index_opt line ':' with
-  | Some i when i > 0 && Option.is_some (Registry.find t.registry (String.sub line 0 i)) ->
-    (Some (String.sub line 0 i), String.trim (String.sub line (i + 1) (String.length line - i - 1)))
-  | _ -> (default_name t, line)
+(* What one distinct line of a flush comes to. *)
+type fate = Parsed of group * Tl_twig.Twig.t * (float -> float) | Failed of string
 
-(* Serve one flushed batch: group lines by routed dataset, pin each
-   group's bundle for the whole flush (a concurrent reload lands between
-   flushes, never inside one — every response line carries the epoch it
-   was actually served from), evaluate each group through the full
-   serving stack, and render answers back in input order. *)
-let serve_batch t lines =
+(* Serve one flushed batch, appending one answer line per query to [buf]
+   in input order.  Each dataset prefix and its bundle are resolved once
+   per flush and each distinct line is routed and parsed once; every
+   occurrence still goes to [Registry.batch], so audit records,
+   per-dataset counters and the engine's dedupe see the batch as sent. *)
+let serve_batch t buf lines =
   let t0 = Clock.now_ns () in
   let lines = Array.of_list lines in
   let n = Array.length lines in
-  let groups : (string, (int * string) list ref) Hashtbl.t = Hashtbl.create 4 in
-  let group_order = ref [] in
-  let errors = Array.make n None in
-  Array.iteri
-    (fun idx line ->
-      match route t line with
-      | None, _ -> errors.(idx) <- Some "no dataset installed"
-      | Some ds, query -> (
-        match Hashtbl.find_opt groups ds with
-        | Some cell -> cell := (idx, query) :: !cell
-        | None ->
-          Hashtbl.replace groups ds (ref [ (idx, query) ]);
-          group_order := ds :: !group_order))
-    lines;
-  let buf = Buffer.create (64 * (n + 1)) in
-  let oks : (int * (float * int * string * string)) list ref = ref [] in
-  List.iter
-    (fun ds ->
-      let members = List.rev !(Hashtbl.find groups ds) in
-      match Registry.find t.registry ds with
-      | None -> List.iter (fun (idx, _) -> errors.(idx) <- Some ("unknown dataset " ^ ds)) members
-      | Some bundle ->
-        let epoch = Registry.epoch bundle in
-        let scheme = Estimator.scheme_name (Engine.scheme (Registry.engine bundle)) in
-        let parsed =
-          Array.of_list
-            (List.filter_map
-               (fun (idx, query) ->
-                 match Registry.parse_query bundle query with
-                 | Ok p -> Some (idx, p)
-                 | Error msg ->
-                   errors.(idx) <- Some msg;
-                   None)
-               members)
-        in
-        if Array.length parsed > 0 then begin
-          let estimates =
-            Registry.batch ?pool:t.pool bundle (Array.map (fun (_, (twig, _)) -> twig) parsed)
-          in
-          Array.iteri
-            (fun i (idx, (_, transform)) ->
-              oks := (idx, (transform estimates.(i), epoch, ds, scheme)) :: !oks)
-            parsed
-        end)
-    (List.rev !group_order);
-  let ok_of = Array.make n None in
-  List.iter (fun (idx, r) -> ok_of.(idx) <- Some r) !oks;
-  for idx = 0 to n - 1 do
-    match ok_of.(idx) with
-    | Some (estimate, epoch, dataset, scheme) ->
-      render_ok ~json:t.config.json buf ~estimate ~epoch ~dataset ~scheme
+  let json = t.config.json in
+  let groups : (string, group option) Hashtbl.t = Hashtbl.create 4 in
+  let order = ref [] in
+  let group name =
+    match Hashtbl.find_opt groups name with
+    | Some g -> g
     | None ->
-      render_error ~json:t.config.json buf
-        (Option.value errors.(idx) ~default:"internal: unanswered line")
+      let g =
+        Option.map
+          (fun bundle ->
+            let scheme = Estimator.scheme_name (Engine.scheme (Registry.engine bundle)) in
+            let tail = answer_tail ~json ~epoch:(Registry.epoch bundle) ~dataset:name ~scheme in
+            let g = { bundle; tail; members = [] } in
+            order := g :: !order;
+            g)
+          (Registry.find t.registry name)
+      in
+      Hashtbl.add groups name g;
+      g
+  in
+  let default =
+    lazy
+      (match t.default_name with
+      | Some name -> Some name
+      | None -> ( match Registry.dataset_names t.registry with [] -> None | name :: _ -> Some name))
+  in
+  (* Same routing rule as the stdin loop: a 'NAME:' prefix that names a
+     registered dataset routes there; everything else — including
+     prefixes that name nothing — is a bare query for the default
+     dataset. *)
+  let route line =
+    let prefixed =
+      match String.index_opt line ':' with
+      | Some i when i > 0 ->
+        Option.map
+          (fun g -> (g, String.trim (String.sub line (i + 1) (String.length line - i - 1))))
+          (group (String.sub line 0 i))
+      | _ -> None
+    in
+    match prefixed with
+    | Some routed -> Ok routed
+    | None -> (
+      match Lazy.force default with
+      | None -> Error "no dataset installed"
+      | Some name -> (
+        match group name with Some g -> Ok (g, line) | None -> Error ("unknown dataset " ^ name)))
+  in
+  let seen : (string, fate) Hashtbl.t = Hashtbl.create 64 in
+  let fates =
+    Array.map
+      (fun line ->
+        match Hashtbl.find_opt seen line with
+        | Some fate -> fate
+        | None ->
+          let fate =
+            match route line with
+            | Error msg -> Failed msg
+            | Ok (g, query) -> (
+              match Registry.parse_query g.bundle query with
+              | Ok (twig, transform) -> Parsed (g, twig, transform)
+              | Error msg -> Failed msg)
+          in
+          Hashtbl.add seen line fate;
+          fate)
+      lines
+  in
+  for idx = n - 1 downto 0 do
+    match fates.(idx) with
+    | Parsed (g, twig, _) -> g.members <- (idx, twig) :: g.members
+    | Failed _ -> ()
   done;
-  Buffer.add_char buf '\n';
-  Atomic.set t.n_queries (Atomic.get t.n_queries + n);
+  let estimates = Array.make n 0.0 in
+  List.iter
+    (fun g ->
+      if g.members <> [] then begin
+        let members = Array.of_list g.members in
+        let results = Registry.batch ?pool:t.pool g.bundle (Array.map snd members) in
+        Array.iteri (fun i (idx, _) -> estimates.(idx) <- results.(i)) members
+      end)
+    (List.rev !order);
+  Array.iteri
+    (fun idx fate ->
+      match fate with
+      | Parsed (g, _, transform) -> add_answer ~json buf (transform estimates.(idx)) g.tail
+      | Failed msg -> render_error ~json buf msg)
+    fates;
+  ignore (Atomic.fetch_and_add t.n_queries n);
   Metrics.add "server.queries" n;
   ignore (Atomic.fetch_and_add t.n_batches 1);
   Metrics.incr "server.batches";
-  Metrics.observe "server.request_ns" (Clock.elapsed_ns ~since:t0);
-  Buffer.contents buf
+  Metrics.observe "server.request_ns" (Clock.elapsed_ns ~since:t0)
 
 (* --- connection handling --------------------------------------------------- *)
 
-type read_result = Line of string | Eof | Abort | Deadline
+let max_line = 64 * 1024
 
-type conn = { fd : Unix.file_descr; mutable rbuf : string; chunk : Bytes.t }
+module Reader = struct
+  type line = Line of string | Eof | Too_long
 
-let deadline_exceeded t = function
-  | None -> false
-  | Some start -> Clock.elapsed_ns ~since:start > int_of_float (t.config.batch_deadline *. 1e9)
+  (* Every read asks for exactly this much.  A read happens only while at
+     most [max_line] unconsumed bytes are buffered, so a buffer of
+     [max_line + read_size] never needs to grow. *)
+  let read_size = 16 * 1024
 
-(* One line, bounded.  [EAGAIN] here means the receive timeout expired
-   with no bytes: an idle client between batches is fine and keeps
-   waiting, but one inside a batch is checked against the batch deadline,
-   and a draining server treats the lull as end of input so the pending
-   batch can be answered and the connection closed. *)
-let rec next_line t conn ~batch_start =
-  if deadline_exceeded t batch_start then Deadline
-  else
-    match String.index_opt conn.rbuf '\n' with
-    | Some i ->
-      let line = String.sub conn.rbuf 0 i in
-      conn.rbuf <- String.sub conn.rbuf (i + 1) (String.length conn.rbuf - i - 1);
-      Line (String.trim line)
-    | None -> (
-      match Unix.read conn.fd conn.chunk 0 (Bytes.length conn.chunk) with
-      | 0 ->
-        if conn.rbuf = "" then Eof
-        else begin
-          (* Final line without a trailing newline still counts. *)
-          let line = String.trim conn.rbuf in
-          conn.rbuf <- "";
-          Line line
-        end
-      | n ->
-        conn.rbuf <- conn.rbuf ^ Bytes.sub_string conn.chunk 0 n;
-        next_line t conn ~batch_start
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_line t conn ~batch_start
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        if Atomic.get t.stopping then Eof else next_line t conn ~batch_start
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> Abort
-      | exception Unix.Unix_error _ -> Abort)
+  (* [buf.[pos, len)] is unconsumed input; [buf.[pos, scan)] is known to
+     hold no newline, so each byte is scanned once. *)
+  type t = { buf : Bytes.t; mutable pos : int; mutable len : int; mutable scan : int; mutable eof : bool }
 
-let serve_conn t fd =
-  let conn = { fd; rbuf = ""; chunk = Bytes.create 4096 } in
-  let pending = ref [] in
-  let batch_start = ref None in
-  let flush_pending () =
-    if !pending <> [] then begin
-      let payload = serve_batch t (List.rev !pending) in
-      pending := [];
-      batch_start := None;
-      Exporter.write_all fd payload
+  let create () = { buf = Bytes.create (max_line + read_size); pos = 0; len = 0; scan = 0; eof = false }
+  let capacity r = Bytes.length r.buf
+  let buffered r = r.pos < r.len
+
+  let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+  (* [buf.[a, b)] trimmed as [String.trim] trims, copied out once. *)
+  let take r a b =
+    let a = ref a and b = ref b in
+    while !a < !b && is_space (Bytes.unsafe_get r.buf !a) do incr a done;
+    while !b > !a && is_space (Bytes.unsafe_get r.buf (!b - 1)) do decr b done;
+    Bytes.sub_string r.buf !a (!b - !a)
+
+  let rec newline r i =
+    if i >= r.len then -1 else if Bytes.unsafe_get r.buf i = '\n' then i else newline r (i + 1)
+
+  let rec next r read =
+    let i = newline r r.scan in
+    if i >= 0 then begin
+      let start = r.pos in
+      r.pos <- i + 1;
+      r.scan <- i + 1;
+      if i - start > max_line then Too_long else Line (take r start i)
     end
     else begin
-      batch_start := None;
-      (* An empty flush still acknowledges: one blank line. *)
-      Exporter.write_all fd "\n"
+      r.scan <- r.len;
+      if r.len - r.pos > max_line then Too_long
+      else if r.eof then
+        if r.pos = r.len then Eof
+        else begin
+          (* A final line without a trailing newline still counts. *)
+          let start = r.pos in
+          r.pos <- r.len;
+          Line (take r start r.len)
+        end
+      else begin
+        if r.pos > 0 then begin
+          Bytes.blit r.buf r.pos r.buf 0 (r.len - r.pos);
+          r.len <- r.len - r.pos;
+          r.scan <- r.len;
+          r.pos <- 0
+        end;
+        let n = read r.buf r.len read_size in
+        if n = 0 then r.eof <- true else r.len <- r.len + n;
+        next r read
+      end
     end
+end
+
+exception Deadline
+
+(* One connection until end of input.  Reads are bounded three ways: the
+   reader's line cap, the socket receive timeout, and the batch deadline,
+   which runs from the first byte of a batch.  [EAGAIN] means the receive
+   timeout expired with no bytes: an idle client between batches is fine
+   and keeps waiting, one inside a batch is checked against the deadline,
+   and a draining server treats the lull as end of input so the pending
+   batch can be answered and the connection closed. *)
+let serve_conn t fd =
+  let json = t.config.json in
+  let deadline_ns = int_of_float (t.config.batch_deadline *. 1e9) in
+  let reader = Reader.create () in
+  let batch_start = ref None in
+  let rec read buf off len =
+    (match !batch_start with
+    | Some start when Clock.elapsed_ns ~since:start > deadline_ns -> raise Deadline
+    | _ -> ());
+    match Unix.read fd buf off len with
+    | n ->
+      if n > 0 && Option.is_none !batch_start then batch_start := Some (Clock.now_ns ());
+      n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read buf off len
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      if Atomic.get t.stopping then 0 else read buf off len
+    | exception Unix.Unix_error _ -> raise Exit
+  in
+  (* Bytes already buffered past a flush are the next batch arriving. *)
+  let restart_clock () =
+    batch_start := if Reader.buffered reader then Some (Clock.now_ns ()) else None
+  in
+  let out = Buffer.create 4096 in
+  (* One response: [fill]'s answer lines, then the blank terminator. *)
+  let respond fill =
+    Buffer.clear out;
+    fill out;
+    Buffer.add_char out '\n';
+    Exporter.write_all fd (Buffer.contents out)
+  in
+  let refuse msg = respond (fun out -> render_error ~json out msg) in
+  let pending = ref [] in
+  let flush () =
+    let lines = List.rev !pending in
+    pending := [];
+    (* An empty flush still acknowledges with the blank terminator. *)
+    respond (fun out -> if lines <> [] then serve_batch t out lines);
+    restart_clock ()
   in
   let rec go () =
-    match next_line t conn ~batch_start:!batch_start with
-    | Line "" ->
-      flush_pending ();
+    match Reader.next reader read with
+    | Reader.Line "" ->
+      flush ();
       go ()
-    | Line line when line.[0] = '#' -> go ()
-    | Line line ->
-      if !pending = [] then batch_start := Some (Clock.now_ns ());
+    | Reader.Line line when line.[0] = '#' ->
+      if !pending = [] then restart_clock ();
+      go ()
+    | Reader.Line line ->
       pending := line :: !pending;
       go ()
-    | Eof -> if !pending <> [] then flush_pending ()
-    | Deadline ->
-      let buf = Buffer.create 64 in
-      render_error ~json:t.config.json buf
-        (Printf.sprintf "batch deadline (%.1fs) exceeded" t.config.batch_deadline);
-      Buffer.add_char buf '\n';
-      Exporter.write_all fd (Buffer.contents buf)
-    | Abort -> ()
+    | Reader.Eof -> if !pending <> [] then flush ()
+    | Reader.Too_long ->
+      Metrics.incr "server.rejected_total";
+      refuse "line too long"
   in
-  (* [Exit] is [write_all] giving up on a gone or stalled client — the
-     connection is dropped, the server is unaffected. *)
-  try go () with Exit -> ()
+  (* [Exit] is a gone client, or [write_all] giving up on a stalled one —
+     the connection is dropped, the server is unaffected. *)
+  try
+    try go ()
+    with Deadline ->
+      refuse (Printf.sprintf "batch deadline (%.1fs) exceeded" t.config.batch_deadline)
+  with Exit -> ()
 
 (* --- threads --------------------------------------------------------------- *)
 
@@ -337,7 +434,12 @@ let acceptor_loop t =
       else begin
         ignore (Atomic.fetch_and_add t.n_connections 1);
         Metrics.incr "server.connections";
+        (* Without TCP_NODELAY, Nagle's algorithm holds a small answer
+           back while an earlier one is unacknowledged; a client whose
+           acknowledgements ride on its next request then waits a whole
+           request interval for every answer. *)
         (try
+           Unix.setsockopt fd Unix.TCP_NODELAY true;
            Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.socket_timeout;
            Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.socket_timeout
          with Unix.Unix_error _ -> ());
@@ -363,6 +465,7 @@ let describe_metrics =
      Metrics.describe "server.queries" "Queries answered over TCP (including error answers)";
      Metrics.describe "server.batches" "Query batches flushed over TCP";
      Metrics.describe "server.shed_total" "Connections shed by admission control";
+     Metrics.describe "server.rejected_total" "Connections closed for a query line over the line cap";
      Metrics.describe "server.queue_depth" "Accepted connections waiting for a worker";
      Metrics.describe "server.active_connections" "Connections currently being served";
      Metrics.describe "server.request_ns" "Per-batch evaluation latency (ns)";
@@ -373,6 +476,7 @@ let describe_metrics =
      Metrics.add "server.queries" 0;
      Metrics.add "server.batches" 0;
      Metrics.add "server.shed_total" 0;
+     Metrics.add "server.rejected_total" 0;
      Metrics.set_gauge "server.queue_depth" 0;
      Metrics.set_gauge "server.active_connections" 0)
 

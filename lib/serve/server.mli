@@ -24,7 +24,12 @@
     - {b deadlines and timeouts}: every socket read and write is bounded
       by [socket_timeout] following the {!Tl_obs.Exporter} EINTR/EAGAIN
       discipline, and a batch that trickles in for longer than
-      [batch_deadline] is answered with an error and cut;
+      [batch_deadline], counted from its first byte, is answered with an
+      error and cut;
+    - {b bounded lines}: a connection reads into one fixed buffer of
+      {!max_line} plus one read; a query line longer than {!max_line} is
+      answered with one [error<TAB>line too long] line (or its JSON form)
+      and the connection closes;
     - {b graceful drain}: {!stop} stops accepting, busy-sheds the
       queued-but-unstarted connections, half-closes the receive side of
       every in-flight connection so its current batch finishes {e on the
@@ -38,6 +43,7 @@
 
     Metrics: [tl_server_connections], [tl_server_queries_total],
     [tl_server_batches_total], [tl_server_shed_total],
+    [tl_server_rejected_total] (connections closed for an over-long line),
     [tl_server_queue_depth] / [tl_server_active_connections] gauges, and
     the [tl_server_request_ns] per-batch latency histogram. *)
 
@@ -80,3 +86,44 @@ val stats : t -> stats
 val stop : t -> unit
 (** Graceful drain as described above.  Blocks until every worker has
     finished its in-flight batch and exited.  Idempotent. *)
+
+(** {2 Wire pieces}
+
+    Exposed so tests can check them without a socket. *)
+
+val max_line : int
+(** The longest query line the server accepts, in bytes, not counting
+    the newline: 64 KiB. *)
+
+val render_answer :
+  json:bool -> Buffer.t -> float -> epoch:int -> dataset:string -> scheme:string -> unit
+(** Append one answer line exactly as the server writes it: the estimate
+    as [Printf.sprintf "%.17g"] prints it, then the epoch, dataset and
+    scheme, tab-separated or as one JSON object. *)
+
+(** The per-connection line reader: one fixed buffer, each byte scanned
+    for a newline once, one allocation per returned line. *)
+module Reader : sig
+  type t
+
+  type line =
+    | Line of string  (** the next line, trimmed as [String.trim] trims *)
+    | Eof  (** end of input with nothing buffered *)
+    | Too_long  (** a line over {!max_line} bytes *)
+
+  val create : unit -> t
+
+  val next : t -> (Bytes.t -> int -> int -> int) -> line
+  (** [next r read] returns the next line.  It calls [read buf off len]
+      (which follows [Unix.read]: it fills [buf.[off, off + len)] and
+      returns the count, 0 meaning end of input) only when no complete
+      line is buffered and at most {!max_line} bytes are.  A final line
+      without a newline is returned at end of input.  After [Too_long]
+      the reader's state is unspecified. *)
+
+  val capacity : t -> int
+  (** The fixed buffer size: {!max_line} plus one read. *)
+
+  val buffered : t -> bool
+  (** Whether unconsumed bytes are buffered. *)
+end

@@ -142,6 +142,289 @@ let test_json_mode () =
     Alcotest.(check bool) "error object" true (contains ~needle:"\"error\":" l1)
   | lines -> Alcotest.failf "expected 2 json answers, got %d" (List.length lines)
 
+(* --- rendering --------------------------------------------------------------- *)
+
+let float_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; Float.max_float;
+            -.Float.max_float; Float.min_float; 4.9406564584124654e-324; -4.9406564584124654e-324;
+            2.2250738585072009e-308; 1.0; 0.1; 120.0; 1e21; 1e-7;
+          ];
+        map Int64.float_of_bits ui64;
+      ])
+
+let prop_render_matches_printf =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~name:"answer rendering = Printf %.17g, text and json" ~count:2000
+       ~print:QCheck2.Print.(pair float int)
+       QCheck2.Gen.(pair float_gen (int_bound 1_000_000))
+    (fun (x, epoch) ->
+      let render json =
+        let buf = Buffer.create 64 in
+        Server.render_answer ~json buf x ~epoch ~dataset:"d" ~scheme:"recursive+voting";
+        Buffer.contents buf
+      in
+      String.equal (render false)
+        (Printf.sprintf "%.17g\t%d\t%s\t%s\n" x epoch "d" "recursive+voting")
+      && String.equal (render true)
+           (Printf.sprintf "{\"estimate\":%.17g,\"epoch\":%d,\"dataset\":\"%s\",\"scheme\":\"%s\"}\n" x
+              epoch "d" "recursive+voting"))
+
+(* --- the line reader -------------------------------------------------------- *)
+
+(* Lines of [text] as the reader must return them, chunking aside. *)
+let reference_lines text =
+  let pieces = String.split_on_char '\n' text in
+  let pieces =
+    match List.rev pieces with "" :: rest -> List.rev rest | _ -> pieces
+  in
+  List.map String.trim pieces
+
+(* A [Unix.read] stand-in serving [text] in chunks of the given sizes,
+   cycled; it records the bytes handed out and the largest read asked. *)
+let scripted_read text sizes =
+  let off = ref 0 and step = ref 0 and largest_ask = ref 0 in
+  let read buf pos len =
+    largest_ask := max !largest_ask len;
+    let size = sizes.(!step mod Array.length sizes) in
+    incr step;
+    let n = min (min len size) (String.length text - !off) in
+    Bytes.blit_string text !off buf pos n;
+    off := !off + n;
+    n
+  in
+  (read, off, largest_ask)
+
+let drain_reader reader read =
+  let rec go acc =
+    match Server.Reader.next reader read with
+    | Server.Reader.Line l -> go (l :: acc)
+    | Server.Reader.Eof -> List.rev acc
+    | Server.Reader.Too_long -> Alcotest.fail "unexpected Too_long"
+  in
+  go []
+
+let prop_reader_chunking =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~name:"reader lines independent of read boundaries" ~count:500
+       ~print:QCheck2.Print.(pair string (array int))
+       QCheck2.Gen.(
+      pair
+        (string_size ~gen:(oneofl [ 'a'; 'b'; '('; ' '; '\t'; '\r'; '\n'; '\n' ]) (int_bound 300))
+        (array_size (int_range 1 5) (int_range 1 17)))
+    (fun (text, sizes) ->
+      let read, _, _ = scripted_read text sizes in
+      drain_reader (Server.Reader.create ()) read = reference_lines text)
+
+let test_reader_line_cap () =
+  let exactly = String.make Server.max_line 'a' in
+  let read, _, _ = scripted_read (exactly ^ "\nb\n") [| 1000 |] in
+  let reader = Server.Reader.create () in
+  Alcotest.(check (list string)) "a line of exactly max_line bytes passes" [ exactly; "b" ]
+    (drain_reader reader read);
+  let read, _, _ = scripted_read (exactly ^ "a\nb\n") [| 1000 |] in
+  (match Server.Reader.next (Server.Reader.create ()) read with
+  | Server.Reader.Too_long -> ()
+  | _ -> Alcotest.fail "a line one byte over the cap must be refused");
+  (* A newline-free flood: refused once the cap is passed, never having
+     taken in more than the cap plus one read. *)
+  let consumed = ref 0 and largest_ask = ref 0 in
+  let flood buf pos len =
+    largest_ask := max !largest_ask len;
+    Bytes.fill buf pos len 'a';
+    consumed := !consumed + len;
+    len
+  in
+  let reader = Server.Reader.create () in
+  (match Server.Reader.next reader flood with
+  | Server.Reader.Too_long -> ()
+  | _ -> Alcotest.fail "a newline-free flood must be refused");
+  Alcotest.(check bool) "flood bytes taken within cap + one read" true
+    (!consumed <= Server.max_line + !largest_ask);
+  Alcotest.(check bool) "buffer within cap + one read" true
+    (Server.Reader.capacity reader <= Server.max_line + !largest_ask)
+
+(* --- reading over a socket -------------------------------------------------- *)
+
+(* Everything the server answers on one connection, written by [write],
+   read until the server closes after our end of input. *)
+let transcript port write =
+  with_client port @@ fun fd ic _oc ->
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
+  write fd;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  In_channel.input_all ic
+
+let write_string fd s = Tl_obs.Exporter.write_all fd s
+
+let reader_payload = "a(b(c,d))\n# comment\nnot a query (((\r\nb(c,d)\n\n  a(b,b)  \nr:a(b)\n\n"
+
+let registry_with_two () =
+  let t, tree, bundle = registry_with_fig11 () in
+  ignore (Result.get_ok (Registry.install_document t ~name:"r" (Helpers.tree_of Helpers.regular_spec)));
+  (t, tree, bundle)
+
+let test_reader_byte_per_write () =
+  let t, _, _ = registry_with_two () in
+  with_server t @@ fun server ->
+  let port = Server.port server in
+  let expected = transcript port (fun fd -> write_string fd reader_payload) in
+  Alcotest.(check bool) "reference answers something" true (String.length expected > 10);
+  let got =
+    transcript port (fun fd ->
+        String.iter (fun c -> write_string fd (String.make 1 c)) reader_payload)
+  in
+  Alcotest.(check string) "one byte per write" expected got
+
+let test_reader_straddling_reads () =
+  let t, _, _ = registry_with_two () in
+  with_server t @@ fun server ->
+  let port = Server.port server in
+  let expected = transcript port (fun fd -> write_string fd reader_payload) in
+  (* Cut mid-line, mid-prefix and between '\r' and '\n', pausing so each
+     piece arrives in a read of its own. *)
+  let cuts = [ 3; 14; 30; 37; 47; 52; 61 ] in
+  let got =
+    transcript port (fun fd ->
+        let last =
+          List.fold_left
+            (fun from cut ->
+              write_string fd (String.sub reader_payload from (cut - from));
+              Thread.delay 0.02;
+              cut)
+            0 cuts
+        in
+        write_string fd (String.sub reader_payload last (String.length reader_payload - last)))
+  in
+  Alcotest.(check string) "lines straddling reads" expected got
+
+let test_reader_pipelined_batches () =
+  let t, _, _ = registry_with_two () in
+  with_server t @@ fun server ->
+  let port = Server.port server in
+  let first = "a(b(c,d))\nbogus(\n\n" and second = "r:a(b)\na(b,b)\n\n" in
+  let separately =
+    with_client port @@ fun _fd ic oc ->
+    send oc first;
+    let a = read_batch ic in
+    send oc second;
+    a @ [ "" ] @ read_batch ic @ [ "" ]
+  in
+  let pipelined = transcript port (fun fd -> write_string fd (first ^ second)) in
+  Alcotest.(check string) "two batches in one write" (String.concat "\n" separately ^ "\n") pipelined
+
+let test_reader_final_line_at_eof () =
+  let t, _, _ = registry_with_two () in
+  with_server t @@ fun server ->
+  let port = Server.port server in
+  let expected = transcript port (fun fd -> write_string fd "a(b,b)\nb(c,d)\n\n") in
+  let got = transcript port (fun fd -> write_string fd "a(b,b)\nb(c,d)") in
+  Alcotest.(check string) "unterminated final line" expected got
+
+(* Parsing once per distinct line must not change any answer: a batch
+   repeating good and bad lines answers each like that line alone. *)
+let test_repeated_lines_answer_like_singletons () =
+  let t, _, _ = registry_with_two () in
+  let lines =
+    [
+      "a(b(c,d))"; "bogus("; "r:a(b)"; "a(b(c,d))"; "nosuch:a(b,b)"; "bogus("; "d:a(b,b)"; "r:a(b)";
+      "//a[b]"; "a(b(c,d))"; "r:nope("; "//a[b]"; "r:nope(";
+    ]
+  in
+  with_server t @@ fun server ->
+  with_client (Server.port server) @@ fun _fd ic oc ->
+  let alone =
+    List.concat_map
+      (fun line ->
+        send oc (line ^ "\n\n");
+        read_batch ic)
+      lines
+  in
+  send oc (String.concat "\n" lines ^ "\n\n");
+  let together = read_batch ic in
+  Alcotest.(check int) "one answer per line" (List.length lines) (List.length together);
+  Alcotest.(check (list string)) "answers line for line" alone together;
+  Alcotest.(check bool) "errors among them" true
+    (List.exists (fun l -> String.length l > 5 && String.sub l 0 5 = "error") together)
+
+(* Read answer lines with a receive timeout, so a server that never
+   answers fails the test instead of hanging it. *)
+let read_lines_until_close fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let ic = Unix.in_channel_of_descr fd in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> List.rev acc
+  in
+  go []
+
+(* A writer thread pushing [chunk] until the server stops taking it. *)
+let keep_writing ?(pause = 0.0) ?(limit = max_int) fd chunk =
+  Thread.create
+    (fun () ->
+      let rec go sent =
+        if sent < limit then
+          match Unix.write_substring fd chunk 0 (String.length chunk) with
+          | n ->
+            if pause > 0.0 then Thread.delay pause;
+            go (sent + n)
+          | exception Unix.Unix_error _ -> ()
+      in
+      go 0)
+    ()
+
+let test_overlong_line_refused () =
+  let t, _, _ = registry_with_fig11 () in
+  with_server t @@ fun server ->
+  let port = Server.port server in
+  let before = counter "server.rejected_total" in
+  (* A newline-free flood, far past the cap. *)
+  let fd = connect port in
+  let writer = keep_writing ~limit:(16 * Server.max_line) fd (String.make 8192 'a') in
+  let answer = read_lines_until_close fd in
+  Thread.join writer;
+  Unix.close fd;
+  Alcotest.(check (list string)) "one error, then close" [ "error\tline too long"; "" ] answer;
+  Alcotest.(check int) "rejection counted" (before + 1) (counter "server.rejected_total");
+  (* The server keeps serving. *)
+  with_client port (fun _fd ic oc ->
+      send oc "a(b,b)\n\n";
+      Alcotest.(check int) "next connection answers" 1 (List.length (read_batch ic)))
+
+let test_overlong_line_refused_json () =
+  let t, _, _ = registry_with_fig11 () in
+  let config = { Server.default_config with Server.json = true } in
+  with_server ~config t @@ fun server ->
+  let before = counter "server.rejected_total" in
+  let fd = connect (Server.port server) in
+  write_string fd ("a(b,b)\n" ^ String.make (Server.max_line + 1) 'a' ^ "\n\n");
+  let answer = read_lines_until_close fd in
+  Unix.close fd;
+  Alcotest.(check (list string)) "json error, then close" [ "{\"error\":\"line too long\"}"; "" ]
+    answer;
+  Alcotest.(check int) "rejection counted" (before + 1) (counter "server.rejected_total")
+
+(* The deadline runs from a batch's first byte: one unterminated line
+   trickled in slower than the deadline is cut. *)
+let test_trickled_line_hits_deadline () =
+  let t, _, _ = registry_with_fig11 () in
+  let config = { Server.default_config with Server.batch_deadline = 0.5 } in
+  with_server ~config t @@ fun server ->
+  let fd = connect (Server.port server) in
+  let writer = keep_writing ~pause:0.1 ~limit:40 fd "a" in
+  let answer = read_lines_until_close fd in
+  Thread.join writer;
+  Unix.close fd;
+  match answer with
+  | [ first; "" ] ->
+    Alcotest.(check string) "deadline error" "error\tbatch deadline (0.5s) exceeded" first
+  | lines -> Alcotest.failf "expected one deadline error, got [%s]" (String.concat "; " lines)
+
 (* --- concurrent clients ---------------------------------------------------- *)
 
 (* N writer threads, each flushing several batches of known queries: the
@@ -283,6 +566,24 @@ let () =
           Alcotest.test_case "batching, errors, eof flush" `Quick test_protocol_basics;
           Alcotest.test_case "routing and unknown prefix" `Quick test_routing_and_unknown_prefix;
           Alcotest.test_case "json mode" `Quick test_json_mode;
+        ] );
+      ( "rendering", [ prop_render_matches_printf ] );
+      ( "reader",
+        [
+          prop_reader_chunking;
+          Alcotest.test_case "line cap and newline-free flood" `Quick test_reader_line_cap;
+          Alcotest.test_case "one byte per write" `Quick test_reader_byte_per_write;
+          Alcotest.test_case "lines straddling reads" `Quick test_reader_straddling_reads;
+          Alcotest.test_case "two batches in one write" `Quick test_reader_pipelined_batches;
+          Alcotest.test_case "final line without newline" `Quick test_reader_final_line_at_eof;
+          Alcotest.test_case "over-long line refused" `Quick test_overlong_line_refused;
+          Alcotest.test_case "over-long line refused, json" `Quick test_overlong_line_refused_json;
+          Alcotest.test_case "trickled line hits deadline" `Quick test_trickled_line_hits_deadline;
+        ] );
+      ( "parse once",
+        [
+          Alcotest.test_case "repeated lines answer like singletons" `Quick
+            test_repeated_lines_answer_like_singletons;
         ] );
       ( "concurrency",
         [
