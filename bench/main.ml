@@ -834,10 +834,10 @@ let micro_tests () =
   in
   let mining =
     List.map
-      (fun (name, _, ctx, _, _, _) ->
+      (fun (name, tree, _, _, _, _) ->
         Test.make
           ~name:(Printf.sprintf "table2/mine-3-lattice/%s" name)
-          (Staged.stage (fun () -> ignore (Tl_mining.Miner.mine ctx ~max_size:3))))
+          (Staged.stage (fun () -> ignore (Tl_mining.Miner.mine tree ~max_size:3))))
       prepared
   in
   (* Subsystems beyond the paper's tables: ingestion routes, the Markov

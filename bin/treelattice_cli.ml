@@ -211,10 +211,9 @@ let mine_cmd =
   let run obs xml k jobs top =
     with_obs obs @@ fun () ->
     let tree = load_tree xml in
-    let ctx = Tl_twig.Match_count.create_ctx tree in
     let result =
       Tl_util.Pool.with_pool ~domains:(max 1 jobs) (fun pool ->
-          Tl_mining.Miner.mine ~pool ctx ~max_size:k)
+          Tl_mining.Miner.mine ~pool tree ~max_size:k)
     in
     Array.iteri
       (fun i count -> Printf.printf "level %d: %d patterns\n" (i + 1) count)

@@ -71,7 +71,7 @@ let prune ?scheme t ~delta = { t with summary = Derivable.prune ?scheme t.summar
 
 let add_document ?pool t other =
   let remap = Array.map (Data_tree.intern_label t.tree) (Data_tree.label_names other) in
-  let mined = Tl_mining.Miner.mine ?pool (Match_count.create_ctx other) ~max_size:(k t) in
+  let mined = Tl_mining.Miner.mine ?pool other ~max_size:(k t) in
   let remapped =
     List.map
       (fun (twig, count) -> (Twig.canonicalize (Twig.map_labels (fun l -> remap.(l)) twig), count))

@@ -191,7 +191,7 @@ let table1 suite =
 let table2 suite =
   let depth = suite.config.table2_depth in
   let mined =
-    List.map (fun env -> (env, Miner.mine ?pool:suite.pool env.ctx ~max_size:depth)) suite.suite_envs
+    List.map (fun env -> (env, Miner.mine ?pool:suite.pool env.tree ~max_size:depth)) suite.suite_envs
   in
   let rows =
     List.map

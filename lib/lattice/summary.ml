@@ -35,8 +35,7 @@ let of_mining (result : Tl_mining.Miner.result) =
 let build ?pool ?(k = 4) tree =
   if k < 2 then invalid_arg "Summary.build: k must be >= 2";
   Tl_obs.Span.with_ "summary.build" @@ fun () ->
-  let ctx = Tl_twig.Match_count.create_ctx tree in
-  let summary = of_mining (Tl_mining.Miner.mine ?pool ctx ~max_size:k) in
+  let summary = of_mining (Tl_mining.Miner.mine ?pool tree ~max_size:k) in
   Tl_obs.Metrics.incr "summary.builds";
   Tl_obs.Metrics.set_gauge "summary.entries" (Hashtbl.length summary.table);
   Tl_obs.Log.info (fun m -> m "summary built: k=%d, %d pattern(s)" k (Hashtbl.length summary.table));

@@ -12,8 +12,6 @@ type ctx = {
 
 let create_ctx tree = { tree; dp = [||]; stamp = [||]; generation = 0 }
 
-let clone_ctx ctx = create_ctx ctx.tree
-
 let tree ctx = ctx.tree
 
 (* Per-query-node preprocessed structure: children grouped by label so the

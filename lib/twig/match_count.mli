@@ -12,20 +12,16 @@
     recursing only through label-matching edges keeps counting cheap even
     for patterns containing very frequent leaf labels.
 
-    This engine provides the ground truth for every experiment, and the
-    per-pattern counts stored in the lattice summary. *)
+    This engine provides the ground truth for every experiment and is the
+    independent oracle the lattice miner ({!Tl_mining.Miner}), which
+    counts bottom-up one DP level at a time, is tested against. *)
 
 type ctx
 (** Reusable counting context over one data tree (holds the DP buffer, so
-    repeated counting — the miner's hot loop — does not reallocate). *)
+    repeated counting does not reallocate).  Single-domain mutable state:
+    never share one across domains. *)
 
 val create_ctx : Tl_tree.Data_tree.t -> ctx
-
-val clone_ctx : ctx -> ctx
-(** A fresh context over the same (immutable, shareable) data tree but
-    with private DP/stamp buffers — one per domain when counting in
-    parallel: contexts are single-domain mutable state and must never be
-    shared across domains. *)
 
 val tree : ctx -> Tl_tree.Data_tree.t
 

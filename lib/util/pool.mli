@@ -50,8 +50,8 @@ val parallel_chunked_map :
 (** Like {!parallel_map}, but each participant first creates private local
     state with [init] (at most once, lazily) and threads it through every
     element it processes — the shape needed when the per-element function
-    wants a reusable scratch structure, e.g. a {!Tl_twig.Match_count}
-    context cloned per domain.  [chunk_size] overrides the number of
+    wants a reusable scratch structure, e.g. the miner's per-domain DP
+    buffer.  [chunk_size] overrides the number of
     consecutive elements claimed per cursor fetch (default: scaled to
     roughly eight chunks per participant).
 
@@ -69,8 +69,9 @@ val parallel_chunked_map :
     cutoff).  Waking helpers, contending the chunk cursor, and the
     end-of-map rendezvous cost real time that a small batch of cheap
     elements never earns back; callers that know their per-item cost
-    should scale the floor accordingly (the miner divides a work budget
-    by document size, the serving engine uses a fixed small floor).  The
+    should scale the floor accordingly (the serving engine uses a fixed
+    small floor; the miner, whose items differ widely in cost, sums their
+    costs and decides for the whole batch).  The
     default keeps every multi-element input parallel.
 
     Degenerate inputs are safe: an empty array returns [[||]] without

@@ -12,49 +12,10 @@ let element ?(attrs = []) tag children = { tag; attrs; children }
 
 (* --- parsing ----------------------------------------------------------- *)
 
-let scan_attr_value lx =
-  let quote = Xml_lexer.next lx in
-  if quote <> '"' && quote <> '\'' then Xml_lexer.error lx "expected a quoted attribute value";
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    let c = Xml_lexer.peek lx in
-    if c = quote then Xml_lexer.advance lx
-    else if c = '&' then begin
-      Buffer.add_string buf (Xml_lexer.scan_reference lx);
-      loop ()
-    end
-    else if c = '<' then Xml_lexer.error lx "'<' not allowed in attribute value"
-    else begin
-      Buffer.add_char buf c;
-      Xml_lexer.advance lx;
-      loop ()
-    end
-  in
-  loop ();
-  Buffer.contents buf
-
-let scan_attributes lx =
-  let rec loop acc =
-    Xml_lexer.skip_whitespace lx;
-    let c = Xml_lexer.peek lx in
-    if c = '>' || c = '/' || c = '?' then List.rev acc
-    else begin
-      let name = Xml_lexer.scan_name lx in
-      if List.mem_assoc name acc then
-        Xml_lexer.error lx (Printf.sprintf "duplicate attribute %S" name);
-      Xml_lexer.skip_whitespace lx;
-      Xml_lexer.expect lx '=';
-      Xml_lexer.skip_whitespace lx;
-      let value = scan_attr_value lx in
-      loop ((name, value) :: acc)
-    end
-  in
-  loop []
-
 let rec scan_element lx =
   Xml_lexer.expect lx '<';
   let tag = Xml_lexer.scan_name lx in
-  let attrs = scan_attributes lx in
+  let attrs = Xml_lexer.scan_attributes lx in
   Xml_lexer.skip_whitespace lx;
   if Xml_lexer.looking_at lx "/>" then begin
     Xml_lexer.expect_string lx "/>";
@@ -131,7 +92,7 @@ and scan_content lx =
 let scan_declaration lx =
   if Xml_lexer.looking_at lx "<?xml" then begin
     Xml_lexer.expect_string lx "<?xml";
-    let attrs = scan_attributes lx in
+    let attrs = Xml_lexer.scan_attributes lx in
     Xml_lexer.skip_whitespace lx;
     Xml_lexer.expect_string lx "?>";
     Some attrs
@@ -147,16 +108,7 @@ let skip_misc lx =
       loop ()
     end
     else if Xml_lexer.looking_at lx "<!DOCTYPE" then begin
-      Xml_lexer.expect_string lx "<!DOCTYPE";
-      (* Skip to the matching '>': internal subsets nest one level of [...]. *)
-      let rec skip depth =
-        match Xml_lexer.next lx with
-        | '[' -> skip (depth + 1)
-        | ']' -> skip (depth - 1)
-        | '>' when depth = 0 -> ()
-        | _ -> skip depth
-      in
-      skip 0;
+      Xml_lexer.skip_doctype lx;
       loop ()
     end
     else if Xml_lexer.looking_at lx "<?" then begin

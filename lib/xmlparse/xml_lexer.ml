@@ -114,3 +114,53 @@ let scan_reference t =
     | "quot" -> "\""
     | other -> error t (Printf.sprintf "unknown entity &%s;" other)
   end
+
+let scan_attr_value t =
+  let quote = next t in
+  if quote <> '"' && quote <> '\'' then error t "expected a quoted attribute value";
+  let buf = Buffer.create 16 in
+  let rec loop () =
+    let c = peek t in
+    if c = quote then advance t
+    else if c = '&' then begin
+      Buffer.add_string buf (scan_reference t);
+      loop ()
+    end
+    else if c = '<' then error t "'<' not allowed in attribute value"
+    else begin
+      Buffer.add_char buf c;
+      advance t;
+      loop ()
+    end
+  in
+  loop ();
+  Buffer.contents buf
+
+let scan_attributes t =
+  let rec loop acc =
+    skip_whitespace t;
+    let c = peek t in
+    if c = '>' || c = '/' || c = '?' then List.rev acc
+    else begin
+      let name = scan_name t in
+      if List.mem_assoc name acc then error t (Printf.sprintf "duplicate attribute %S" name);
+      skip_whitespace t;
+      expect t '=';
+      skip_whitespace t;
+      let value = scan_attr_value t in
+      loop ((name, value) :: acc)
+    end
+  in
+  loop []
+
+let skip_doctype t =
+  expect_string t "<!DOCTYPE";
+  (* Skip to the matching '>': internal subsets nest one level of [...]. *)
+  let rec skip depth =
+    match next t with
+    | '[' -> skip (depth + 1)
+    | ']' -> skip (depth - 1)
+    | '>' when depth = 0 -> ()
+    | _ -> skip depth
+  in
+  skip 0

@@ -1,8 +1,9 @@
 (** Character-level cursor over an XML input string.
 
-    The parser in {!Xml_dom} is recursive descent over this cursor; the
-    cursor tracks line/column for error reporting and owns the low-level
-    scanning primitives (names, whitespace, references). *)
+    {!Xml_dom} (recursive descent) and {!Xml_sax} (the same grammar over an
+    explicit stack) scan through this cursor; it tracks line/column for
+    error reporting and owns the scanning primitives both share (names,
+    whitespace, references, attributes, DOCTYPE). *)
 
 type t
 
@@ -49,6 +50,15 @@ val scan_reference : t -> string
 (** Scan an entity or character reference, cursor on ['&'].  Supports the
     five predefined entities and decimal/hex character references; unknown
     entity names fail. *)
+
+val scan_attributes : t -> (string * string) list
+(** Attributes up to (not including) the ['>'], ['/'] or ['?'] that ends a
+    tag, in document order, values quoted and reference-resolved.  Fails on
+    a duplicate name. *)
+
+val skip_doctype : t -> unit
+(** Skip a [<!DOCTYPE ...>] declaration, cursor on ['<'], including one
+    level of bracketed internal subset. *)
 
 val error : t -> string -> 'a
 (** Fail at the current position. *)

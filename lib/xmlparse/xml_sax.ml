@@ -6,69 +6,53 @@ type event =
   | Comment of string
   | Pi of string * string
 
-(* The scanning mirrors Xml_dom but drives a handler instead of building
-   nodes; attribute scanning is shared logic re-expressed over the lexer. *)
+(* The grammar is Xml_dom's, step for step: the same lexer calls in the
+   same order, so a malformed document fails with the same message at the
+   same position on either route.  Element nesting runs on an explicit
+   stack of open tags instead of Xml_dom's recursion, so arbitrarily deep
+   documents stream without growing the call stack. *)
 
-let scan_attr_value lx =
-  let quote = Xml_lexer.next lx in
-  if quote <> '"' && quote <> '\'' then Xml_lexer.error lx "expected a quoted attribute value";
-  let buf = Buffer.create 16 in
+(* A processing instruction, cursor on its ["<?"]. *)
+let scan_pi lx =
+  Xml_lexer.expect_string lx "<?";
+  let target = Xml_lexer.scan_name lx in
+  Xml_lexer.skip_whitespace lx;
+  Pi (target, Xml_lexer.scan_until lx "?>")
+
+(* Prolog and trailing misc, as [Xml_dom.skip_misc]: whitespace, comments,
+   DOCTYPE (skipped without an event) and processing instructions. *)
+let skip_misc lx handler =
   let rec loop () =
-    let c = Xml_lexer.peek lx in
-    if c = quote then Xml_lexer.advance lx
-    else if c = '&' then begin
-      Buffer.add_string buf (Xml_lexer.scan_reference lx);
-      loop ()
-    end
-    else if c = '<' then Xml_lexer.error lx "'<' not allowed in attribute value"
-    else begin
-      Buffer.add_char buf c;
-      Xml_lexer.advance lx;
-      loop ()
-    end
-  in
-  loop ();
-  Buffer.contents buf
-
-let scan_attributes lx =
-  let rec loop acc =
     Xml_lexer.skip_whitespace lx;
-    let c = Xml_lexer.peek lx in
-    if c = '>' || c = '/' || c = '?' then List.rev acc
-    else begin
-      let name = Xml_lexer.scan_name lx in
-      if List.mem_assoc name acc then
-        Xml_lexer.error lx (Printf.sprintf "duplicate attribute %S" name);
-      Xml_lexer.skip_whitespace lx;
-      Xml_lexer.expect lx '=';
-      Xml_lexer.skip_whitespace lx;
-      let value = scan_attr_value lx in
-      loop ((name, value) :: acc)
+    if Xml_lexer.looking_at lx "<!--" then begin
+      Xml_lexer.expect_string lx "<!--";
+      handler (Comment (Xml_lexer.scan_until lx "-->"));
+      loop ()
+    end
+    else if Xml_lexer.looking_at lx "<!DOCTYPE" then begin
+      Xml_lexer.skip_doctype lx;
+      loop ()
+    end
+    else if Xml_lexer.looking_at lx "<?" then begin
+      handler (scan_pi lx);
+      loop ()
     end
   in
-  loop []
+  loop ()
 
 let parse_lexer lx handler =
   Xml_lexer.skip_whitespace lx;
   if Xml_lexer.looking_at lx "<?xml" then begin
     Xml_lexer.expect_string lx "<?xml";
-    let attrs = scan_attributes lx in
+    let attrs = Xml_lexer.scan_attributes lx in
     Xml_lexer.skip_whitespace lx;
     Xml_lexer.expect_string lx "?>";
     handler (Declaration attrs)
   end;
-  let skip_doctype () =
-    Xml_lexer.expect_string lx "<!DOCTYPE";
-    let rec skip depth =
-      match Xml_lexer.next lx with
-      | '[' -> skip (depth + 1)
-      | ']' -> skip (depth - 1)
-      | '>' when depth = 0 -> ()
-      | _ -> skip depth
-    in
-    skip 0
-  in
-  (* [depth] counts open elements; text accumulates per contiguous run. *)
+  skip_misc lx handler;
+  if Xml_lexer.at_end lx || Xml_lexer.peek lx <> '<' then
+    Xml_lexer.error lx "expected a root element";
+  (* Text accumulates per contiguous run of character data and CDATA. *)
   let text = Buffer.create 64 in
   let flush_text () =
     if Buffer.length text > 0 then begin
@@ -76,112 +60,73 @@ let parse_lexer lx handler =
       Buffer.clear text
     end
   in
-  let depth = ref 0 in
-  let seen_root = ref false in
-  let rec loop () =
-    if Xml_lexer.at_end lx then begin
-      if !depth > 0 then Xml_lexer.error lx "unexpected end of input inside an element";
-      if not !seen_root then Xml_lexer.error lx "expected a root element"
+  let open_tags = ref [] in
+  let start_element () =
+    Xml_lexer.expect lx '<';
+    let tag = Xml_lexer.scan_name lx in
+    let attrs = Xml_lexer.scan_attributes lx in
+    Xml_lexer.skip_whitespace lx;
+    handler (Start_element (tag, attrs));
+    if Xml_lexer.looking_at lx "/>" then begin
+      Xml_lexer.expect_string lx "/>";
+      handler (End_element tag)
     end
     else begin
-      let c = Xml_lexer.peek lx in
-      if c = '<' then begin
-        if Xml_lexer.looking_at lx "</" then begin
-          flush_text ();
-          Xml_lexer.expect_string lx "</";
-          let tag = Xml_lexer.scan_name lx in
-          Xml_lexer.skip_whitespace lx;
-          Xml_lexer.expect lx '>';
-          if !depth = 0 then Xml_lexer.error lx (Printf.sprintf "unexpected close tag </%s>" tag);
-          decr depth;
-          handler (End_element tag);
-          loop ()
-        end
-        else if Xml_lexer.looking_at lx "<!--" then begin
-          flush_text ();
-          Xml_lexer.expect_string lx "<!--";
-          handler (Comment (Xml_lexer.scan_until lx "-->"));
-          loop ()
-        end
-        else if Xml_lexer.looking_at lx "<![CDATA[" then begin
-          if !depth = 0 then Xml_lexer.error lx "character data outside the root element";
-          Xml_lexer.expect_string lx "<![CDATA[";
-          Buffer.add_string text (Xml_lexer.scan_until lx "]]>");
-          loop ()
-        end
-        else if Xml_lexer.looking_at lx "<!DOCTYPE" then begin
-          if !seen_root then Xml_lexer.error lx "DOCTYPE after the root element";
-          skip_doctype ();
-          loop ()
-        end
-        else if Xml_lexer.looking_at lx "<?" then begin
-          flush_text ();
-          Xml_lexer.expect_string lx "<?";
-          let target = Xml_lexer.scan_name lx in
-          Xml_lexer.skip_whitespace lx;
-          handler (Pi (target, Xml_lexer.scan_until lx "?>"));
-          loop ()
-        end
-        else begin
-          flush_text ();
-          if !depth = 0 && !seen_root then Xml_lexer.error lx "content after the root element";
-          Xml_lexer.expect lx '<';
-          let tag = Xml_lexer.scan_name lx in
-          let attrs = scan_attributes lx in
-          Xml_lexer.skip_whitespace lx;
-          handler (Start_element (tag, attrs));
-          seen_root := true;
-          if Xml_lexer.looking_at lx "/>" then begin
-            Xml_lexer.expect_string lx "/>";
-            handler (End_element tag)
-          end
-          else begin
-            Xml_lexer.expect lx '>';
-            incr depth
-          end;
-          loop ()
-        end
-      end
-      else if c = '&' then begin
-        if !depth = 0 then Xml_lexer.error lx "character data outside the root element";
-        Buffer.add_string text (Xml_lexer.scan_reference lx);
-        loop ()
-      end
-      else begin
-        if !depth = 0 then begin
-          (* Whitespace between top-level constructs is fine; anything else
-             is stray content. *)
-          if Xml_lexer.next lx |> fun ch -> not (ch = ' ' || ch = '\t' || ch = '\r' || ch = '\n')
-          then Xml_lexer.error lx "content outside the root element"
-        end
-        else begin
-          Buffer.add_char text c;
-          Xml_lexer.advance lx
-        end;
-        loop ()
-      end
+      Xml_lexer.expect lx '>';
+      open_tags := tag :: !open_tags
     end
   in
-  loop ()
+  start_element ();
+  (* Content of the innermost open element. *)
+  while !open_tags <> [] do
+    if Xml_lexer.at_end lx then Xml_lexer.error lx "unexpected end of input inside an element";
+    let c = Xml_lexer.peek lx in
+    if c = '<' then begin
+      if Xml_lexer.looking_at lx "</" then begin
+        flush_text ();
+        Xml_lexer.expect_string lx "</";
+        let close = Xml_lexer.scan_name lx in
+        let tag = List.hd !open_tags in
+        if close <> tag then
+          Xml_lexer.error lx
+            (Printf.sprintf "mismatched close tag: expected </%s>, found </%s>" tag close);
+        Xml_lexer.skip_whitespace lx;
+        Xml_lexer.expect lx '>';
+        open_tags := List.tl !open_tags;
+        handler (End_element tag)
+      end
+      else if Xml_lexer.looking_at lx "<!--" then begin
+        flush_text ();
+        Xml_lexer.expect_string lx "<!--";
+        handler (Comment (Xml_lexer.scan_until lx "-->"))
+      end
+      else if Xml_lexer.looking_at lx "<![CDATA[" then begin
+        Xml_lexer.expect_string lx "<![CDATA[";
+        Buffer.add_string text (Xml_lexer.scan_until lx "]]>")
+      end
+      else if Xml_lexer.looking_at lx "<?" then begin
+        flush_text ();
+        handler (scan_pi lx)
+      end
+      else begin
+        flush_text ();
+        start_element ()
+      end
+    end
+    else if c = '&' then Buffer.add_string text (Xml_lexer.scan_reference lx)
+    else begin
+      Buffer.add_char text c;
+      Xml_lexer.advance lx
+    end
+  done;
+  skip_misc lx handler;
+  if not (Xml_lexer.at_end lx) then Xml_lexer.error lx "content after the root element"
 
-(* A well-formedness detail the depth counter misses: close tags must match
-   the open tag.  Track with a stack wrapper around the handler. *)
 let parse_string input handler =
-  let lx = Xml_lexer.of_string input in
-  let stack = ref [] in
-  let checked event =
-    (match event with
-    | Start_element (tag, _) -> stack := tag :: !stack
-    | End_element tag -> (
-      match !stack with
-      | top :: rest when String.equal top tag -> stack := rest
-      | top :: _ ->
-        Xml_lexer.error lx (Printf.sprintf "mismatched close tag: expected </%s>, found </%s>" top tag)
-      | [] -> Xml_lexer.error lx (Printf.sprintf "unexpected close tag </%s>" tag))
-    | Declaration _ | Text _ | Comment _ | Pi _ -> ());
-    handler event
-  in
-  parse_lexer lx checked
+  Tl_obs.Span.with_ "xml.parse" @@ fun () ->
+  parse_lexer (Xml_lexer.of_string input) handler;
+  Tl_obs.Metrics.incr "xml.documents_parsed";
+  Tl_obs.Metrics.observe "xml.input_bytes" (String.length input)
 
 let parse_file path handler =
   let ic = open_in_bin path in

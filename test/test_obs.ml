@@ -193,16 +193,15 @@ let prop_parallel_snapshot_identical =
       Metrics.equal_snapshot sequential parallel)
 
 (* End-to-end flavor of the same property: mining a summary across a pool
-   leaves the instrumentation (match-count calls, per-level candidate
-   counters, selectivity histogram) identical to the sequential run. *)
+   leaves the instrumentation (per-level candidate counters, kept-pattern
+   histogram) identical to the sequential run. *)
 let test_miner_metrics_parallel_identical () =
   let tree = Helpers.tree_of Helpers.fig11_spec in
-  let ctx = Tl_twig.Match_count.create_ctx tree in
   Metrics.reset ();
-  let seq = Tl_mining.Miner.mine ctx ~max_size:3 in
+  let seq = Tl_mining.Miner.mine tree ~max_size:3 in
   let seq_snap = Metrics.snapshot () in
   Metrics.reset ();
-  let par = Pool.with_pool ~domains:3 (fun pool -> Tl_mining.Miner.mine ~pool ctx ~max_size:3) in
+  let par = Pool.with_pool ~domains:3 (fun pool -> Tl_mining.Miner.mine ~pool tree ~max_size:3) in
   let par_snap = Metrics.snapshot () in
   Alcotest.(check int) "same pattern count" (Tl_mining.Miner.total_patterns seq)
     (Tl_mining.Miner.total_patterns par);

@@ -172,6 +172,108 @@ let prop_same_estimates_either_route =
            (fun tw c acc -> acc && Tl_lattice.Summary.find s2 tw = Some c)
            s1 true)
 
+(* --- loader parity: streaming vs DOM route ------------------------------------ *)
+
+(* Random documents that touch every construct both parsers scan: a
+   prolog (declaration, DOCTYPE, comments, PIs), attributes, text with
+   references, CDATA, comments and PIs in content, self-closing and
+   explicitly closed elements, and trailing misc. *)
+let document_gen =
+  let open QCheck2.Gen in
+  let name = oneofl [ "a"; "b"; "c"; "x:y"; "d-1" ] in
+  let text = oneofl [ "t"; " "; "\n"; "&amp;"; "&#65;"; "&#x42;"; "&lt;b&gt;" ] in
+  let misc = oneofl [ ""; " "; "\n"; "<!--m-->"; "<?pi body?>" ] in
+  let attrs =
+    let* n = int_bound 2 in
+    let* values = list_repeat n (oneofl [ {|"v"|}; "'w'"; {|"&quot;"|} ]) in
+    return (String.concat "" (List.mapi (fun i v -> Printf.sprintf " k%d=%s" i v) values))
+  in
+  let rec element depth =
+    let* tag = name in
+    let* attrs = attrs in
+    let* closed = if depth = 0 then return true else bool in
+    if not closed then return (Printf.sprintf "<%s%s/>" tag attrs)
+    else
+      let* n = int_bound (if depth = 0 then 0 else 4) in
+      let* parts = list_repeat n (content (depth - 1)) in
+      let* ws = oneofl [ ""; " " ] in
+      return (Printf.sprintf "<%s%s>%s</%s%s>" tag attrs (String.concat "" parts) tag ws)
+  and content depth =
+    oneof
+      [
+        element depth;
+        text;
+        return "<!--c-->";
+        return "<![CDATA[<raw>&]]>";
+        return "<?p data?>";
+      ]
+  in
+  let* decl = oneofl [ ""; {|<?xml version="1.0"?>|}; "  " ] in
+  let* pre = list_size (int_bound 2) misc in
+  let* doctype = oneofl [ ""; "<!DOCTYPE a>"; "<!DOCTYPE a [<!ELEMENT a ANY>]>" ] in
+  let* root = element 3 in
+  let* post = list_size (int_bound 2) misc in
+  return (decl ^ String.concat "" pre ^ doctype ^ root ^ String.concat "" post)
+
+(* Byte-level mutations: delete, replace or insert one byte (drawn from the
+   characters that steer the grammar), or duplicate a short slice. *)
+let mutate_gen doc =
+  let open QCheck2.Gen in
+  let interesting = oneofl [ '<'; '>'; '/'; '&'; ';'; '!'; '?'; '-'; '['; ']'; '"'; '='; ' '; 'a'; '\n'; '#' ] in
+  let mutate s =
+    let n = String.length s in
+    if n = 0 then return s
+    else
+      let* i = int_bound (n - 1) in
+      let* c = interesting in
+      let* kind = int_bound 3 in
+      let* len = int_range 1 8 in
+      return
+        (match kind with
+        | 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+        | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+        | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+        | _ ->
+          let len = min len (n - i) in
+          String.sub s 0 (i + len) ^ String.sub s i (n - i))
+  in
+  let* rounds = int_bound 3 in
+  let rec go s k = if k = 0 then return s else mutate s >>= fun s -> go s (k - 1) in
+  go doc rounds
+
+let parity_gen = QCheck2.Gen.(document_gen >>= mutate_gen)
+
+type load_outcome = Tree of Data_tree.t | Error of Xml_error.position * string | Raised of string
+
+let outcome load input =
+  match load input with
+  | tree -> Tree tree
+  | exception Xml_error.Parse_error (pos, msg) -> Error (pos, msg)
+  | exception e -> Raised (Printexc.to_string e)
+
+let show_outcome = function
+  | Tree t -> Printf.sprintf "tree of %d nodes" (Data_tree.size t)
+  | Error (pos, msg) -> Printf.sprintf "error at %s (offset %d): %s" (Xml_error.pp_position pos) pos.offset msg
+  | Raised e -> "raised " ^ e
+
+let prop_loaders_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3000 ~print:(fun s -> s)
+       ~name:"streaming and DOM loaders: same tree or same positioned error" parity_gen (fun input ->
+         let sax = outcome Tree_load.of_string input in
+         let dom = outcome (fun s -> Data_tree.of_xml (Xml_dom.parse_string s)) input in
+         match (sax, dom) with
+         | Tree a, Tree b when same_tree a b -> true
+         | Error (p, m), Error (p', m') when p = p' && m = m' -> true
+         | _ -> QCheck2.Test.fail_reportf "streaming: %s\nDOM:       %s" (show_outcome sax) (show_outcome dom)))
+
+let test_mismatched_close_position () =
+  let input = "<a><b></a>" in
+  let dom = outcome (fun s -> Data_tree.of_xml (Xml_dom.parse_string s)) input in
+  let sax = outcome Tree_load.of_string input in
+  Alcotest.(check string) "DOM position" "error at line 1, column 10 (offset 9): mismatched close tag: expected </b>, found </a>" (show_outcome dom);
+  Alcotest.(check string) "streaming = DOM" (show_outcome dom) (show_outcome sax)
+
 let () =
   Alcotest.run "sax"
     [
@@ -196,5 +298,10 @@ let () =
           Alcotest.test_case "buffer growth" `Quick test_load_grows_buffers;
           prop_sax_route_equals_dom_route;
           prop_same_estimates_either_route;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "mismatched close tag position" `Quick test_mismatched_close_position;
+          prop_loaders_agree;
         ] );
     ]
